@@ -9,8 +9,6 @@ pub const RULES: &[&str] = &[
     "ordered-iter",
     "panic",
     "panic-path",
-    "lock-graph",
-    "lock-across-io",
     "durability",
     "typestate",
     "file-budget",
@@ -19,20 +17,22 @@ pub const RULES: &[&str] = &[
     "retry",
     "shard-discipline",
     "shard-affinity",
-    "async-ready",
     "hot-alloc",
     "pragma",
 ];
 
 /// Crates whose behavior must be bit-for-bit deterministic: the simulator
 /// and everything on the simulated I/O path. Wall-clock time, OS
-/// randomness, and OS threads here would silently invalidate the
-/// crash-matrix torture harness and replay-equivalence proptests.
-/// `chaos` is included because its whole value proposition is
-/// seed-reproducible runs: the same seed must replay byte-identically,
-/// so ambient entropy or wall-clock reads there are bugs (the one
-/// seeded RNG carries a justified allow at its seeding site).
-pub const DETERMINISM_CRATES: &[&str] = &["sim", "core", "pfs", "mpiio", "chaos"];
+/// randomness, OS threads, and locks (which presuppose threads) here
+/// would silently invalidate the crash-matrix torture harness and
+/// replay-equivalence proptests. `chaos` is included because its whole
+/// value proposition is seed-reproducible runs: the same seed must replay
+/// byte-identically, so ambient entropy or wall-clock reads there are
+/// bugs (its SplitMix64 stream draws only from the schedule seed).
+/// `storage` is included so the lock ban covers every crate that calls
+/// the [`DEVICE_IO_FNS`] vocabulary: with no lock declarable there, no
+/// lock can be held across device I/O.
+pub const DETERMINISM_CRATES: &[&str] = &["sim", "core", "pfs", "mpiio", "chaos", "storage"];
 
 /// Crates whose *library* code must be panic-free: the middleware sits on
 /// every I/O path, so a panic is an availability bug (ECI-Cache/LBICA
@@ -65,9 +65,11 @@ pub const SERIALIZATION_FILES: &[&str] = &[
 pub const SERIALIZATION_FN_PATTERNS: &[&str] =
     &["journal", "checkpoint", "serialize", "snapshot", "report"];
 
-/// Calls that perform (simulated) device I/O or journal appends. Holding
-/// any lock across one of these stalls every thread contending for the
-/// lock for a device-latency bound — flagged by `lock-across-io`.
+/// Calls that perform (simulated) device I/O or journal appends. Like the
+/// journal and fuse primitives, they are protocol vocabulary: the call
+/// graph classifies them by name and never expands them through a
+/// resolved body (`summary::is_protocol_name`), so a bare-name match on
+/// `submit` or `discard` cannot splice unrelated components together.
 pub const DEVICE_IO_FNS: &[&str] = &[
     "append_journal_sync",
     "apply_bytes",
@@ -269,28 +271,6 @@ pub const PLANE_INDEXED_FNS: &[&str] = &[
 /// (`self.plane.alloc(…)`, `plane.release(…)`). Inside the plane itself
 /// the receiver is `self` and the accessor checks apply instead.
 pub const PLANE_RECEIVER: &str = "plane";
-
-/// Calls that block the calling thread on (simulated or real) device
-/// latency: device I/O, fsync-class persistence barriers, and the
-/// synchronous journal append. The `async-ready` rule reports any of
-/// these reachable while a lock may be held in a function on the future
-/// service entry surface — the classic async-runtime pitfall (a blocked
-/// executor thread stalls every task scheduled on it).
-pub const BLOCKING_FNS: &[&str] = &[
-    "append_journal_sync",
-    "apply_bytes",
-    "read_bytes",
-    "discard",
-    "submit",
-    "sync_all",
-    "sync_data",
-    "fsync",
-];
-
-/// Crates whose unrestricted `pub fn`s form the future service entry
-/// surface (`async-ready` roots): the same public API the tokio front
-/// end (ROADMAP item 5) will call from executor threads.
-pub const SERVICE_SURFACE_CRATES: &[&str] = &["core", "mpiio"];
 
 /// Hot-path modules under the allocation lint (`hot-alloc`): the
 /// identify→redirect→admit pipeline, the shard plane, the group-commit

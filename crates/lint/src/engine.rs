@@ -91,6 +91,14 @@ pub fn lint_files(files: &[SourceFile]) -> Report {
     report
 }
 
+/// The pragma-hygiene hint. Diagnostic hints are `&'static str`, so the
+/// rule list is spelled out by hand: [`config::RULES`] minus the `retry`
+/// alias and `pragma` itself, in catalogue order (pinned by a unit test).
+const PRAGMA_HINT: &str = "format: `// s4d-lint: allow(<rule>) — <justification>`; rules: \
+                           determinism, ordered-iter, panic, panic-path, durability, \
+                           typestate, file-budget, unbounded-retry, shard-discipline, \
+                           shard-affinity, hot-alloc";
+
 /// `pragma`: malformed pragmas, unknown rule ids, missing justification,
 /// and unused allows. A misspelled rule id must never silently suppress —
 /// it is reported instead.
@@ -102,11 +110,7 @@ fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
                 line: p.line,
                 rule: "pragma",
                 message,
-                hint: "format: `// s4d-lint: allow(<rule>) — <justification>`; rules: \
-                       determinism, ordered-iter, panic, panic-path, lock-graph, \
-                       lock-across-io, durability, typestate, file-budget, \
-                       unbounded-retry, shard-discipline, shard-affinity, \
-                       async-ready, hot-alloc",
+                hint: PRAGMA_HINT,
                 severity,
                 chain: Vec::new(),
             });
@@ -201,4 +205,21 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> Result<Report, String> {
         files.push(SourceFile::parse(path.clone(), rel, &src));
     }
     Ok(lint_files(&files))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pragma_hint_lists_the_suppressible_rules_in_catalogue_order() {
+        let (_, listed) = PRAGMA_HINT.split_once("rules: ").unwrap();
+        let listed: Vec<&str> = listed.split(", ").collect();
+        let expected: Vec<&str> = config::RULES
+            .iter()
+            .copied()
+            .filter(|r| !matches!(*r, "retry" | "pragma"))
+            .collect();
+        assert_eq!(listed, expected);
+    }
 }

@@ -1,6 +1,5 @@
-//! Item parser: function definitions, call expressions, lock
-//! acquisitions, panic sites, and const-initializer spans, extracted from
-//! the lexed token stream.
+//! Item parser: function definitions, call expressions, panic sites,
+//! and const-initializer spans, extracted from the lexed token stream.
 //!
 //! This is the layer between the lexer and the interprocedural rules: it
 //! turns each file's flat token stream into a list of [`FnItem`]s, each
@@ -42,15 +41,6 @@ pub enum EventKind {
         name: String,
         /// True for `.name(…)` method syntax.
         method: bool,
-    },
-    /// A zero-argument `.lock()`/`.read()`/`.write()` on a named field or
-    /// binding — a lock acquisition.
-    Acquire {
-        /// The receiver field/binding the guard came from.
-        lock: String,
-        /// Token range the guard may be held over (statement end, or the
-        /// body end for `let`-bound guards).
-        extent: Range<usize>,
     },
     /// An occurrence of the `FlushIntent` record constructor identifier.
     Intent,
@@ -306,27 +296,6 @@ fn extract_events(
                 line,
             });
         }
-        // Lock acquisitions: `<recv> . {lock|read|write} ( )`.
-        if matches!(file.ident(i), Some("lock" | "read" | "write"))
-            && file.punct_is(i.wrapping_sub(1), '.')
-            && file.punct_is(i + 1, '(')
-            && file.punct_is(i + 2, ')')
-        {
-            if let Some(recv) = i.checked_sub(2).and_then(|r| file.ident(r)) {
-                if recv != "self" {
-                    out.push(Event {
-                        kind: EventKind::Acquire {
-                            lock: recv.to_string(),
-                            extent: i..guard_extent_end(file, &body, i),
-                        },
-                        tok: i,
-                        line,
-                    });
-                    i += 3;
-                    continue;
-                }
-            }
-        }
         // Intent-record constructor occurrences.
         if file.ident(i) == Some(config::INTENT_RECORD) {
             out.push(Event {
@@ -355,33 +324,6 @@ fn extract_events(
         i += 1;
     }
     out
-}
-
-/// Where a guard acquired at token `i` may be held until: the end of its
-/// statement, or the end of the body for `let`-bound guards
-/// (conservative — justify early drops with a pragma).
-fn guard_extent_end(file: &SourceFile, body: &Range<usize>, i: usize) -> usize {
-    // `let`-bound: scan back to the statement start.
-    let mut j = i;
-    let mut bound = false;
-    while j > body.start {
-        j -= 1;
-        if file.punct_is(j, ';') || file.punct_is(j, '{') {
-            break;
-        }
-        if file.ident(j) == Some("let") {
-            bound = true;
-            break;
-        }
-    }
-    if bound {
-        return body.end;
-    }
-    let mut j = i;
-    while j < body.end && !file.punct_is(j, ';') {
-        j += 1;
-    }
-    j
 }
 
 /// Classifies token `i` as a panicking construct, if it is one. The
@@ -497,39 +439,6 @@ mod tests {
         let inner = idx.fns.iter().find(|f| f.name == "inner").unwrap();
         assert_eq!(call_names(outer), vec!["safe"]);
         assert_eq!(call_names(inner), vec!["danger"]);
-    }
-
-    #[test]
-    fn acquisitions_with_extents() {
-        let (_, idx) = parse(
-            "fn f(s: &S) { let g = s.records.lock(); use_it(&g); }\n\
-             fn h(s: &S) { s.records.lock().clear(); other(); }",
-        );
-        let f = &idx.fns[0];
-        let acq: Vec<_> = f
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Acquire { lock, extent } => Some((lock.clone(), extent.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acq.len(), 1);
-        assert_eq!(acq[0].0, "records");
-        assert_eq!(acq[0].1.end, f.body.end, "let-bound guard held to body end");
-        let h = &idx.fns[1];
-        let acq_h: Vec<_> = h
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Acquire { extent, .. } => Some(extent.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            acq_h[0].end < h.body.end,
-            "statement-scoped guard ends before the body does"
-        );
     }
 
     #[test]

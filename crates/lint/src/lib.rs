@@ -12,11 +12,10 @@
 //!
 //! | rule family | ids | why |
 //! |-------------|-----|-----|
-//! | determinism | `determinism`, `ordered-iter` | the crash-matrix harness and replay proptests compare byte-for-byte |
+//! | determinism | `determinism`, `ordered-iter` | the crash-matrix harness and replay proptests compare byte-for-byte; banning threads and locks in every crate that issues device I/O also makes lock discipline hold by construction |
 //! | panic-freedom | `panic`, `panic-path` | the middleware sits on every I/O path; `panic` flags sites lexically, `panic-path` reports the transitive panic surface of the public API with witness call chains |
-//! | lock discipline | `lock-graph`, `lock-across-io` | deadlock cycles in the computed lock-acquisition graph and device-latency lock holds are availability bugs — held-lock sets propagate through callees |
 //! | durability protocol | `durability` | DESIGN.md §9 write ordering keeps crashes recoverable — checked along call paths via effect summaries |
-//! | concurrency readiness | `shard-affinity`, `async-ready`, `hot-alloc` | ROADMAP items 2/4/5: shard mutations must be router-dominated ([`alias`]), blocking-under-lock on the service surface and hot-path allocations are ratcheted before real concurrency lands |
+//! | concurrency readiness | `shard-affinity`, `hot-alloc` | shard mutations must be router-dominated ([`alias`]), and hot-path allocations are ratcheted down before real concurrency lands |
 //! | file budget | `file-budget` | a module past 800 non-test lines means a missed component seam (DESIGN.md §12) |
 //!
 //! Plus `pragma` for allow-pragma hygiene. Run with:

@@ -117,21 +117,17 @@ fn main() -> ExitCode {
         // Keys sorted, wall time last: everything before it is
         // deterministic, so diffs of two runs touch exactly one line.
         let body = format!(
-            "{{\n  \"alias_facts\": {},\n  \"blocks\": {},\n  \"cycle_checks\": {},\n  \
+            "{{\n  \"alias_facts\": {},\n  \"blocks\": {},\n  \
              \"dataflow_iterations\": {},\n  \"diagnostics\": {},\n  \"edges\": {},\n  \
-             \"files\": {},\n  \"functions\": {},\n  \"lock_graph_edges\": {},\n  \
-             \"lock_graph_nodes\": {},\n  \"summary_passes\": {},\n  \"suppressed\": {},\n  \
-             \"wall_ms\": {wall_ms:.3}\n}}\n",
+             \"files\": {},\n  \"functions\": {},\n  \"summary_passes\": {},\n  \
+             \"suppressed\": {},\n  \"wall_ms\": {wall_ms:.3}\n}}\n",
             report.stats.alias_facts.get(),
             report.stats.blocks,
-            report.stats.cycle_checks.get(),
             report.stats.dataflow_iterations.get(),
             report.diagnostics.len(),
             report.stats.edges,
             report.files,
             report.stats.functions,
-            report.stats.lock_graph_edges.get(),
-            report.stats.lock_graph_nodes.get(),
             report.stats.summary_passes,
             report.suppressed,
         );

@@ -2,9 +2,12 @@
 //! simulated I/O path must be bit-for-bit reproducible.
 //!
 //! One stray `SystemTime::now()` (wall-clock time leaking into simulated
-//! time), `thread_rng()` (OS entropy), or `std::thread::spawn` (scheduler
-//! nondeterminism) silently invalidates the crash-matrix torture harness
-//! and the replay-equivalence proptests, which compare byte-for-byte.
+//! time), `thread_rng()` (OS entropy), `std::thread::spawn` (scheduler
+//! nondeterminism), or a `Mutex`/`RwLock` (which only makes sense with
+//! threads) silently invalidates the crash-matrix torture harness and the
+//! replay-equivalence proptests, which compare byte-for-byte. Banning
+//! locks here also makes lock discipline vacuous on the simulated I/O
+//! path: no lock can be held across device I/O or form a cycle there.
 //! Likewise, iterating a `HashMap`/`HashSet` while serializing journal,
 //! checkpoint, or report state makes the byte stream order-of-iteration
 //! dependent; those paths must use `BTreeMap`/`BTreeSet` or sort
@@ -34,7 +37,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     ordered_iter(file, out);
 }
 
-/// `determinism`: wall-clock, OS randomness, OS threads.
+/// `determinism`: wall-clock, OS randomness, OS threads, locks.
 fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let path2 = |i: usize, a: &str, b: &str| {
         file.ident(i) == Some(a)
@@ -51,6 +54,8 @@ fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             Some("thread_rng() draws OS entropy")
         } else if path2(i, "thread", "spawn") {
             Some("thread::spawn introduces scheduler nondeterminism")
+        } else if matches!(file.ident(i), Some("Mutex" | "RwLock")) {
+            Some("a lock presupposes OS threads")
         } else {
             None
         };
@@ -61,7 +66,7 @@ fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 rule: "determinism",
                 message: format!("{what} in deterministic crate `{}`", file.crate_name),
                 hint: "use SimTime/SimClock for time, the seeded sim RNG for randomness, \
-                       and the discrete-event Runner instead of OS threads",
+                       and the discrete-event Runner instead of OS threads and locks",
                 severity: severity(file, file.line_of(i)),
                 chain: Vec::new(),
             });

@@ -9,12 +9,9 @@
 
 pub mod affinity;
 pub mod alloc;
-pub mod asyncready;
 pub mod determinism;
 pub mod durability;
 pub mod file_budget;
-pub mod lockgraph;
-pub mod locks;
 pub mod panic_freedom;
 pub mod panic_path;
 pub mod shard_discipline;
@@ -38,10 +35,7 @@ pub fn check_file(file: &SourceFile, items: &ItemIndex, out: &mut Vec<Diagnostic
 /// Runs the interprocedural rule families over the analyzed workspace.
 pub fn check_graph(a: &Analysis, out: &mut Vec<Diagnostic>) {
     durability::check(a, out);
-    locks::check(a, out);
-    lockgraph::check(a, out);
     affinity::check(a, out);
-    asyncready::check(a, out);
     panic_path::check(a, out);
     typestate::check(a, out);
     unbounded_retry::check(a, out);

@@ -4,9 +4,9 @@
 //! Each function gets a [`Summary`] in two halves:
 //!
 //! * **may-facts** — what *some* path does: append to the journal,
-//!   discard or apply cache bytes, charge the crash fuse, perform device
-//!   I/O, acquire locks, panic. Collected as unions over the reachable
-//!   blocks; unreachable code contributes nothing.
+//!   discard or apply cache bytes, charge the crash fuse, panic.
+//!   Collected as unions over the reachable blocks; unreachable code
+//!   contributes nothing.
 //! * **must-facts** (`appends_all`, `fuse_all`) — what *every* path
 //!   reaching the function's exit does, computed by a forward
 //!   must-analysis (meet = conjunction) over the CFG
@@ -27,16 +27,13 @@
 //! whether an append/fuse *must* have happened before it on every path —
 //! the per-event facts the durability rule and witness descent consume.
 //!
-//! Summaries are computed to a fixpoint: all facts are monotone booleans
-//! or sets drawn from finite universes, so iteration terminates. Calls to
-//! the protocol primitives themselves (`append_journal_sync`,
-//! `fuse_consume`, `journal_op`, `data_op`) and to the durable-effect /
-//! device-I/O method names are classified *by name* — they are the
-//! protocol's anchor vocabulary — and are not expanded through their
-//! resolved bodies, mirroring the PR-3 rule that the primitives implement
-//! the gate rather than being checked against it.
-
-use std::collections::BTreeSet;
+//! Summaries are computed to a fixpoint: all facts are monotone
+//! booleans, so iteration terminates. Calls to the protocol primitives
+//! themselves (`append_journal_sync`, `fuse_consume`, `journal_op`,
+//! `data_op`) and to the durable-effect / device-I/O method names are
+//! classified *by name* — they are the protocol's anchor vocabulary —
+//! and are not expanded through their resolved bodies: the primitives
+//! implement the gate rather than being checked against it.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::cfg::{BlockId, Cfg};
@@ -60,10 +57,6 @@ pub struct Summary {
     pub fuse: bool,
     /// Charges the crash fuse on **every** path reaching exit.
     pub fuse_all: bool,
-    /// May perform device I/O or a journal append (lock-across-io).
-    pub device_io: bool,
-    /// Locks this function (or a callee) may acquire.
-    pub acquires: BTreeSet<String>,
     /// May panic (unwrap/expect/panic-macro/indexing site reachable).
     pub panics: bool,
     /// Some path discards before any journal append covers it.
@@ -102,12 +95,6 @@ pub struct Stats {
     /// Shard-state accesses classified by the alias layer
     /// ([`crate::alias`]) across all functions.
     pub alias_facts: std::cell::Cell<usize>,
-    /// Distinct locks in the computed lock-acquisition graph.
-    pub lock_graph_nodes: std::cell::Cell<usize>,
-    /// Held-while-acquiring edges in the lock-acquisition graph.
-    pub lock_graph_edges: std::cell::Cell<usize>,
-    /// Edge expansions performed by the cycle search.
-    pub cycle_checks: std::cell::Cell<usize>,
 }
 
 impl Stats {
@@ -120,17 +107,6 @@ impl Stats {
     /// Adds alias-layer access classifications to the running total.
     pub fn add_alias_facts(&self, n: usize) {
         self.alias_facts.set(self.alias_facts.get() + n);
-    }
-
-    /// Records the lock-acquisition graph's size.
-    pub fn set_lock_graph(&self, nodes: usize, edges: usize) {
-        self.lock_graph_nodes.set(nodes);
-        self.lock_graph_edges.set(edges);
-    }
-
-    /// Adds cycle-search edge expansions to the running total.
-    pub fn add_cycle_checks(&self, n: usize) {
-        self.cycle_checks.set(self.cycle_checks.get() + n);
     }
 }
 
@@ -285,16 +261,10 @@ fn recompute(
             nf.fused_before[e] = fact.1;
             nf.reachable[e] = true;
             match &ev.kind {
-                EventKind::Acquire { lock, .. } => {
-                    s.acquires.insert(lock.clone());
-                }
                 EventKind::Panic { .. } => s.panics = true,
                 EventKind::Intent => {}
                 EventKind::Call { name, method } => {
                     let n = name.as_str();
-                    if config::DEVICE_IO_FNS.contains(&n) {
-                        s.device_io = true;
-                    }
                     match n {
                         _ if n == config::JOURNAL_SYNC_FN => s.appends = true,
                         _ if n == config::JOURNAL_BATCH_FN => s.journal_op = true,
@@ -324,11 +294,7 @@ fn recompute(
                                 s.appends |= c.appends;
                                 s.journal_op |= c.journal_op;
                                 s.data_op |= c.data_op;
-                                s.device_io |= c.device_io;
                                 s.panics |= c.panics;
-                                for l in &c.acquires {
-                                    s.acquires.insert(l.clone());
-                                }
                             }
                         }
                     }
@@ -499,8 +465,10 @@ mod tests {
         ]);
         let a = Analysis::build(&files, &idx);
         let top = summary_of(&a, "top");
-        assert!(top.device_io, "apply_bytes is device I/O, two hops down");
-        assert!(top.exposed_unfused_effect, "no fuse anywhere on the path");
+        assert!(
+            top.exposed_unfused_effect,
+            "apply_bytes two hops down, no fuse anywhere on the path"
+        );
     }
 
     #[test]

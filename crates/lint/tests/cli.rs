@@ -164,17 +164,20 @@ fn list_rules_includes_the_interprocedural_family() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in [
         "durability",
-        "lock-graph",
-        "lock-across-io",
         "panic",
         "panic-path",
         "shard-affinity",
-        "async-ready",
         "hot-alloc",
     ] {
         assert!(
             stdout.lines().any(|l| l == rule),
             "missing {rule}: {stdout}"
+        );
+    }
+    for retired in ["lock-graph", "lock-across-io", "async-ready"] {
+        assert!(
+            !stdout.lines().any(|l| l == retired),
+            "retired rule {retired} still listed: {stdout}"
         );
     }
 }

@@ -52,16 +52,16 @@ fn lint_fixture(name: &str, rel: &str) -> engine::Report {
 const CASES: &[(&str, &str, &str)] = &[
     ("determinism.rs", "crates/sim/src/fixture.rs", "determinism"),
     (
+        "determinism_lock.rs",
+        "crates/sim/src/fixture.rs",
+        "determinism",
+    ),
+    (
         "ordered_iter.rs",
         "crates/sim/src/fixture.rs",
         "ordered-iter",
     ),
     ("panic.rs", "crates/pfs/src/fixture.rs", "panic"),
-    (
-        "lock_across_io.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-across-io",
-    ),
     ("durability.rs", "crates/core/src/fixture.rs", "durability"),
     ("pragma.rs", "crates/sim/src/fixture.rs", "pragma"),
 ];
@@ -93,14 +93,6 @@ const XFN_CASES: &[(&str, &str, &str, &str, &str, Severity)] = &[
         Severity::Error,
     ),
     (
-        "xfn_lock_caller.rs",
-        "crates/sim/src/xfn_caller.rs",
-        "xfn_lock_helper.rs",
-        "crates/sim/src/xfn_helper.rs",
-        "lock-across-io",
-        Severity::Error,
-    ),
-    (
         "xfn_panic_caller.rs",
         "crates/core/src/xfn_caller.rs",
         "xfn_panic_helper.rs",
@@ -116,14 +108,6 @@ const XFN_CASES: &[(&str, &str, &str, &str, &str, Severity)] = &[
         "unbounded-retry",
         Severity::Warning,
     ),
-    (
-        "xfn_lockgraph_caller.rs",
-        "crates/sim/src/xfn_caller.rs",
-        "xfn_lockgraph_helper.rs",
-        "crates/sim/src/xfn_helper.rs",
-        "lock-graph",
-        Severity::Error,
-    ),
 ];
 
 /// Branch-sensitivity pairs, one per flow-sensitive rule family:
@@ -138,12 +122,6 @@ const FLOW_CASES: &[(&str, &str, &str, &str)] = &[
         "flow_durability_clean.rs",
         "crates/core/src/fixture.rs",
         "durability",
-    ),
-    (
-        "flow_locks_hot.rs",
-        "flow_locks_clean.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-across-io",
     ),
     (
         "flow_typestate_hot.rs",
@@ -162,18 +140,6 @@ const FLOW_CASES: &[(&str, &str, &str, &str)] = &[
         "flow_affinity_clean.rs",
         "crates/core/src/shard/plane.rs",
         "shard-affinity",
-    ),
-    (
-        "flow_lockgraph_hot.rs",
-        "flow_lockgraph_clean.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-graph",
-    ),
-    (
-        "flow_asyncready_hot.rs",
-        "flow_asyncready_clean.rs",
-        "crates/mpiio/src/fixture.rs",
-        "async-ready",
     ),
     (
         "flow_alloc_hot.rs",

@@ -2,8 +2,9 @@
 //!
 //! This is the same check CI runs via `cargo run -p s4d-lint --
 //! --workspace`, wired into the ordinary test suite so a plain
-//! `cargo test` refuses determinism, panic-freedom, lock-discipline,
-//! and durability-protocol regressions. Warnings (report-only findings,
+//! `cargo test` refuses determinism (including locks on the simulated
+//! I/O path), panic-freedom, shard-affinity, and durability-protocol
+//! regressions. Warnings (report-only findings,
 //! e.g. determinism in test code and `panic-path` reachability reports)
 //! are printed but do not fail.
 //!
