@@ -1,56 +1,9 @@
-//! Figure 1: the motivating experiment.
-//!
-//! "We ran IOR on a PVFS2 file system built on eight I/O servers... overall
-//! file size 16 GB, 16 processes, request size from 4 KB to 32 MB. Each of
-//! the n processes reads its own 1/n of the shared file, sequentially or
-//! randomly." The paper reports aggregate read bandwidth collapsing under
-//! small random requests and converging for requests ≥ 4 MB.
+//! Figure 1, defined in [`s4d_bench::paper::fig01_motivation`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig01_motivation`
 
-use s4d_bench::table;
-use s4d_bench::{run_stock, testbed, Scale};
-use s4d_workloads::{AccessPattern, IorConfig};
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let file_size = scale.bytes(16 << 30);
-    let mut rows = Vec::new();
-    for req_kib in [4u64, 16, 64, 256, 1024, 4096] {
-        let mk = |pattern| {
-            IorConfig {
-                file_name: format!("fig1_{req_kib}k_{pattern:?}"),
-                file_size,
-                processes: 16,
-                request_size: req_kib * 1024,
-                pattern,
-                do_write: true,
-                do_read: true,
-                seed: 0xF16,
-            }
-            .scripts()
-        };
-        let seq = run_stock(&tb, mk(AccessPattern::Sequential), Vec::new());
-        let rnd = run_stock(&tb, mk(AccessPattern::Random), Vec::new());
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(seq.read_mibs()),
-            table::mibs(rnd.read_mibs()),
-            format!("{:.2}x", seq.read_mibs() / rnd.read_mibs().max(1e-9)),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 1 — stock PFS read bandwidth, sequential vs random (16 procs, 8 DServers)",
-            &["req size", "seq MiB/s", "random MiB/s", "seq/random"],
-            &rows,
-        )
-    );
-    println!(
-        "paper shape: random ≪ sequential below ~1 MiB, comparable at 4 MiB+ \
-         (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig01_motivation(Scale::from_env()));
 }

@@ -1,79 +1,9 @@
-//! Figure 6: IOR throughput with varied request sizes, stock vs S4D-Cache.
-//!
-//! The paper's campaign: 10 IOR instances (6 sequential + 4 random) over
-//! shared files, 32 processes, cache capacity = 20 % of the application
-//! data. Write improvements of 51.3/49.1/39.2/32.5 % at 8/16/32/64 KiB and
-//! parity at 4 MiB; reads improve more (up to 184.1 % at 8 KiB), measured
-//! on a program's *second run* (§V.A).
+//! Figure 6, defined in [`s4d_bench::paper::fig06_request_size`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig06_request_size`
 
-use s4d_bench::table;
-use s4d_bench::{
-    campaign_scripts, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,
-    Scale,
-};
-use s4d_cache::S4dConfig;
-use s4d_workloads::campaign::CampaignConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut wrows = Vec::new();
-    let mut rrows = Vec::new();
-    for req_kib in [8u64, 16, 32, 64, 4096] {
-        let (cfg, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let capacity = cfg.total_data_bytes() / 5;
-        let stock = run_stock(&tb, scripts, Vec::new());
-
-        let (_, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let s4d = run_s4d(&tb, S4dConfig::new(capacity), scripts, Vec::new());
-
-        // Second-run read measurement: first run write+read (learn + cache),
-        // then a read-only pass over the same files — for BOTH systems, so
-        // the read comparison is pure-read vs pure-read.
-        let read_cfg = CampaignConfig {
-            do_write: false,
-            ..cfg.clone()
-        };
-        let (_, first) = campaign_scripts(32, req_kib * 1024, scale);
-        let stock_read2 = run_stock_second_read(&tb, first, read_cfg.scripts());
-        let (_, first) = campaign_scripts(32, req_kib * 1024, scale);
-        let s4d_read2 =
-            run_s4d_second_read(&tb, S4dConfig::new(capacity), first, read_cfg.scripts());
-
-        wrows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-        rrows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(stock_read2.read_mibs()),
-            table::mibs(s4d_read2.read_mibs()),
-            table::speedup_pct(stock_read2.read_mibs(), s4d_read2.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 6(a) — IOR write throughput vs request size (campaign, 32 procs)",
-            &["req size", "stock MiB/s", "s4d MiB/s", "improvement"],
-            &wrows,
-        )
-    );
-    print!(
-        "{}",
-        table::render(
-            "Fig. 6(b) — IOR read throughput vs request size (second run)",
-            &["req size", "stock MiB/s", "s4d MiB/s", "improvement"],
-            &rrows,
-        )
-    );
-    println!(
-        "paper shape: writes +51/49/39/33 % at 8-64 KiB, ~0 % at 4 MiB; reads larger \
-         (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig06_request_size(Scale::from_env()));
 }

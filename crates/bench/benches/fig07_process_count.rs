@@ -1,56 +1,9 @@
-//! Figure 7: IOR throughput with varied numbers of processes.
-//!
-//! The paper runs the campaign at 16/32/64/128 processes (16 KiB requests,
-//! disjoint per-process regions) and reports write improvements of
-//! 35.4–49.5 % with a similar trend for reads; absolute bandwidth drops as
-//! processes contend.
+//! Figure 7, defined in [`s4d_bench::paper::fig07_process_count`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig07_process_count`
 
-use s4d_bench::table;
-use s4d_bench::{run_s4d, run_stock, testbed, Scale};
-use s4d_cache::S4dConfig;
-use s4d_workloads::campaign::CampaignConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut rows = Vec::new();
-    for procs in [16u32, 32, 64, 128] {
-        // Weak scaling: each process keeps the paper's 64 MiB share of the
-        // shared file, so the per-process access pattern (and the cost
-        // model's view of it) is constant across the sweep.
-        let file_size = procs as u64 * scale.bytes(64 << 20);
-        let mk = || {
-            let cfg = CampaignConfig::paper_mix(procs, file_size, 16 * 1024);
-            (cfg.total_data_bytes(), cfg.scripts())
-        };
-        let (total, scripts) = mk();
-        let capacity = total / 5;
-        let stock = run_stock(&tb, scripts, Vec::new());
-        let (_, scripts) = mk();
-        let s4d = run_s4d(&tb, S4dConfig::new(capacity), scripts, Vec::new());
-        rows.push(vec![
-            procs.to_string(),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-            table::mibs(stock.read_mibs()),
-            table::mibs(s4d.read_mibs()),
-            table::speedup_pct(stock.read_mibs(), s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 7 — IOR throughput vs process count (16 KiB requests)",
-            &["procs", "stock W", "s4d W", "W gain", "stock R", "s4d R", "R gain",],
-            &rows,
-        )
-    );
-    println!(
-        "paper shape: +35-50 % across 16-128 processes; absolute MiB/s falls as \
-         contention rises (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig07_process_count(Scale::from_env()));
 }

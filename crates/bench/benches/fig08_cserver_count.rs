@@ -1,63 +1,9 @@
-//! Figure 8: IOR throughput with varied numbers of CServers.
-//!
-//! The paper varies the SSD file-server count from 0 (stock) to 6 while
-//! keeping the same cache space and access patterns: write bandwidth
-//! improves 20.7–60.1 % and plateaus above four CServers, because only the
-//! random fraction of the workload can benefit.
+//! Figure 8, defined in [`s4d_bench::paper::fig08_cserver_count`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig08_cserver_count`
 
-use s4d_bench::table;
-use s4d_bench::{campaign_scripts, run_s4d, run_stock, Scale, Testbed};
-use s4d_cache::S4dConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let scale = Scale::from_env();
-    let (cfg, _) = campaign_scripts(32, 16 * 1024, scale);
-    let capacity = cfg.total_data_bytes() / 5;
-    let mut rows = Vec::new();
-    let stock_tb = Testbed {
-        seed: 0x54D,
-        ..Testbed::default()
-    };
-    let (_, scripts) = campaign_scripts(32, 16 * 1024, scale);
-    let stock = run_stock(&stock_tb, scripts, Vec::new());
-    let base_w = stock.write_mibs();
-    let base_r = stock.read_mibs();
-    rows.push(vec![
-        "0 (stock)".into(),
-        table::mibs(base_w),
-        "+0.0%".into(),
-        table::mibs(base_r),
-        "+0.0%".into(),
-    ]);
-    for c_servers in 1..=6usize {
-        let tb = Testbed {
-            c_servers,
-            seed: 0x54D,
-            ..Testbed::default()
-        };
-        let (_, scripts) = campaign_scripts(32, 16 * 1024, scale);
-        let s4d = run_s4d(&tb, S4dConfig::new(capacity), scripts, Vec::new());
-        rows.push(vec![
-            c_servers.to_string(),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(base_w, s4d.write_mibs()),
-            table::mibs(s4d.read_mibs()),
-            table::speedup_pct(base_r, s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 8 — IOR throughput vs number of CServers (fixed cache space)",
-            &["CServers", "write MiB/s", "W gain", "read MiB/s", "R gain"],
-            &rows,
-        )
-    );
-    println!(
-        "paper shape: +20.7-60.1 % writes, improvement plateaus above 4 CServers \
-         (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig08_cserver_count(Scale::from_env()));
 }

@@ -1,59 +1,9 @@
-//! Figure 9: HPIO throughput with varied region spacings.
-//!
-//! HPIO (16 processes, 4096 regions of 8 KiB) with region spacing swept
-//! from 0 (contiguous) to 4 KiB: the paper reports S4D-Cache improving
-//! throughput by 18/28/30/33 % — more spacing means poorer locality on the
-//! DServers and more benefit from the cache.
+//! Figure 9, defined in [`s4d_bench::paper::fig09_hpio`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig09_hpio`
 
-use s4d_bench::table;
-use s4d_bench::{run_s4d, run_stock, testbed, Scale};
-use s4d_cache::S4dConfig;
-use s4d_workloads::HpioConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut wrows = Vec::new();
-    let mut rrows = Vec::new();
-    for spacing in [0u64, 1024, 2048, 4096] {
-        let mut cfg = HpioConfig::paper_default(format!("hpio_{spacing}"), spacing);
-        cfg.region_count = scale.bytes(4096 * 1024) / 1024; // scale op count
-        let data = cfg.processes as u64 * cfg.process_bytes();
-        let stock = run_stock(&tb, cfg.scripts(), Vec::new());
-        let s4d = run_s4d(&tb, S4dConfig::new(data / 5), cfg.scripts(), Vec::new());
-        wrows.push(vec![
-            format!("{} KiB", spacing / 1024),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-        rrows.push(vec![
-            format!("{} KiB", spacing / 1024),
-            table::mibs(stock.read_mibs()),
-            table::mibs(s4d.read_mibs()),
-            table::speedup_pct(stock.read_mibs(), s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 9(a) — HPIO write throughput vs region spacing (16 procs, 8 KiB regions)",
-            &["spacing", "stock MiB/s", "s4d MiB/s", "improvement"],
-            &wrows,
-        )
-    );
-    print!(
-        "{}",
-        table::render(
-            "Fig. 9(b) — HPIO read throughput vs region spacing",
-            &["spacing", "stock MiB/s", "s4d MiB/s", "improvement"],
-            &rrows,
-        )
-    );
-    println!(
-        "paper shape: +18/28/30/33 % as spacing grows 0 -> 4 KiB (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig09_hpio(Scale::from_env()));
 }

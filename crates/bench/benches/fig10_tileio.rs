@@ -1,49 +1,9 @@
-//! Figure 10: MPI-Tile-IO throughput with varied numbers of processes.
-//!
-//! The paper runs MPI-Tile-IO with 10×10-element tiles of 32 KiB elements
-//! and 100–400 processes: aggregate bandwidth improves 21–33 % for writes
-//! and 18–31 % for reads — the nested-strided pattern has better locality
-//! than random IOR, so the gain is smaller but still significant.
+//! Figure 10, defined in [`s4d_bench::paper::fig10_tileio`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig10_tileio`
 
-use s4d_bench::table;
-use s4d_bench::{run_s4d, run_stock, testbed, Scale};
-use s4d_cache::S4dConfig;
-use s4d_workloads::TileIoConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut rows = Vec::new();
-    for procs in [100u32, 200, 300, 400] {
-        let mut cfg = TileIoConfig::paper_default(format!("tile_{procs}"), procs);
-        // Scale element size down, keeping tile geometry.
-        cfg.element_size = scale.bytes(32 * 1024).max(4096);
-        let data = cfg.dataset_bytes();
-        let stock = run_stock(&tb, cfg.scripts(), Vec::new());
-        let s4d = run_s4d(&tb, S4dConfig::new(data / 5), cfg.scripts(), Vec::new());
-        rows.push(vec![
-            procs.to_string(),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-            table::mibs(stock.read_mibs()),
-            table::mibs(s4d.read_mibs()),
-            table::speedup_pct(stock.read_mibs(), s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 10 — MPI-Tile-IO throughput vs process count (10x10 tiles)",
-            &["procs", "stock W", "s4d W", "W gain", "stock R", "s4d R", "R gain",],
-            &rows,
-        )
-    );
-    println!(
-        "paper shape: writes +21-33 %, reads +18-31 % across 100-400 processes \
-         (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig10_tileio(Scale::from_env()));
 }

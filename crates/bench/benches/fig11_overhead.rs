@@ -1,62 +1,9 @@
-//! Figure 11: runtime overhead when S4D-Cache cannot help.
-//!
-//! The paper writes a shared 10 GB file randomly with 32 processes where
-//! every request intentionally misses the CServers, so the Redirector
-//! redirects everything to DServers — measuring the pure bookkeeping
-//! overhead (cost evaluation, CDT/DMT lookups). The overhead is
-//! "almost unobservable".
+//! Figure 11, defined in [`s4d_bench::paper::fig11_overhead`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench fig11_overhead`
 
-use s4d_bench::table;
-use s4d_bench::{run_s4d, run_stock, testbed, Scale};
-use s4d_cache::S4dConfig;
-use s4d_workloads::{AccessPattern, IorConfig};
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut rows = Vec::new();
-    for req_kib in [8u64, 16, 32] {
-        let mk = || {
-            IorConfig {
-                file_name: format!("fig11_{req_kib}"),
-                file_size: scale.bytes(10 << 30),
-                processes: 32,
-                request_size: req_kib * 1024,
-                pattern: AccessPattern::Random,
-                do_write: true,
-                do_read: false,
-                seed: 0xF11,
-            }
-            .scripts()
-        };
-        let stock = run_stock(&tb, mk(), Vec::new());
-        // force_miss: all the decision work, none of the redirection.
-        let s4d = run_s4d(
-            &tb,
-            S4dConfig::new(1 << 30).with_force_miss(true),
-            mk(),
-            Vec::new(),
-        );
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 11 — all-miss overhead probe (random writes, no redirection)",
-            &["req size", "stock MiB/s", "s4d(force-miss) MiB/s", "delta"],
-            &rows,
-        )
-    );
-    println!(
-        "paper shape: deltas within noise — the middleware's overhead is negligible \
-         (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::fig11_overhead(Scale::from_env()));
 }

@@ -1,56 +1,9 @@
-//! Table III: request distribution between DServers and CServers.
-//!
-//! The paper traces the campaign with IOSIG and reports, for a five-second
-//! window of the execution, where write requests were dispatched:
-//! 16 KiB → 16.3 % DServers / 83.7 % CServers; 4096 KiB → 100 % / 0 %.
+//! Table III, defined in [`s4d_bench::paper::tab03_distribution`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench tab03_distribution`
 
-use s4d_bench::table;
-use s4d_bench::{campaign_scripts, run_s4d, testbed, Scale};
-use s4d_cache::S4dConfig;
-use s4d_sim::SimTime;
-use s4d_storage::IoKind;
-use s4d_trace::{analysis, TraceCollector};
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut rows = Vec::new();
-    for req_kib in [16u64, 4096] {
-        let (cfg, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let capacity = cfg.total_data_bytes() / 5;
-        let (collector, handle) = TraceCollector::new();
-        let out = run_s4d(
-            &tb,
-            S4dConfig::new(capacity),
-            scripts,
-            vec![Box::new(collector)],
-        );
-        let records = handle.snapshot();
-        // The paper samples a five-second window from the 50th second; at
-        // scaled sizes we sample an equivalent slice: 10 % of the run
-        // starting at its midpoint.
-        let end = out.report.end_time.as_nanos();
-        let from = SimTime::from_nanos(end / 2);
-        let to = SimTime::from_nanos(end / 2 + end / 10);
-        let dist = analysis::tier_distribution(&records, Some((from, to)), Some(IoKind::Write));
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            format!("{:.1}", dist.d_percent()),
-            format!("{:.1}", dist.c_percent()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Table III — write-request distribution (mid-run window)",
-            &["req size", "DServers (%)", "CServers (%)"],
-            &rows,
-        )
-    );
-    println!(
-        "paper: 16 KiB -> 16.3 / 83.7; 4096 KiB -> 100.0 / 0.0 (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::tab03_distribution(Scale::from_env()));
 }

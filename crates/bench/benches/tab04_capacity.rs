@@ -1,50 +1,9 @@
-//! Table IV: write throughput with varied SSD cache capacities.
-//!
-//! The paper varies the cache from 0 GB (S4D disabled) to 6 GB against a
-//! 20 GB campaign (10 × 2 GB): 58.03 → 69.34 → 86.15 → 90.89 MB/s
-//! (+0/19.5/48.4/56.6 %), with diminishing returns once most random
-//! requests fit.
+//! Table IV, defined in [`s4d_bench::paper::tab04_capacity`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench tab04_capacity`
 
-use s4d_bench::table;
-use s4d_bench::{campaign_scripts, run_s4d, run_stock, testbed, Scale};
-use s4d_cache::S4dConfig;
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let (cfg, scripts) = campaign_scripts(32, 16 * 1024, scale);
-    let total = cfg.total_data_bytes();
-    let stock = run_stock(&tb, scripts, Vec::new());
-    let base = stock.write_mibs();
-    let mut rows = vec![vec![
-        "0 (stock)".to_string(),
-        table::mibs(base),
-        "+0.0%".to_string(),
-    ]];
-    // The paper's 2/4/6 GB against 20 GB of data = 10/20/30 % of data size.
-    for (label, gb_equivalent) in [("2 GB eq", 2u64), ("4 GB eq", 4), ("6 GB eq", 6)] {
-        let capacity = total * gb_equivalent / 20;
-        let (_, scripts) = campaign_scripts(32, 16 * 1024, scale);
-        let s4d = run_s4d(&tb, S4dConfig::new(capacity), scripts, Vec::new());
-        rows.push(vec![
-            label.to_string(),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(base, s4d.write_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Table IV — IOR write throughput vs SSD cache capacity",
-            &["capacity", "throughput MiB/s", "speedup"],
-            &rows,
-        )
-    );
-    println!(
-        "paper: 58.03 / 69.34 / 86.15 / 90.89 MB/s (+0/19.5/48.4/56.6 %), gains \
-         flattening past 4 GB (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::tab04_capacity(Scale::from_env()));
 }

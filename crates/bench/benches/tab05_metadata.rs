@@ -1,75 +1,9 @@
-//! §V.E.1: DMT metadata space overhead.
-//!
-//! The paper bounds the mapping table's storage cost: with every request at
-//! the worst-case 4 KB and 24-byte records, the metadata consumes 0.6 % of
-//! the cache space. This bench verifies the same bound analytically and
-//! empirically against a live DMT.
+//! §V.E.1, defined in [`s4d_bench::paper::tab05_metadata`].
 //!
 //! Run: `cargo bench -p s4d-bench --bench tab05_metadata`
 
-use s4d_bench::table;
-use s4d_bench::{testbed, Scale};
-use s4d_cache::{S4dCache, S4dConfig, DMT_RECORD_BYTES};
-use s4d_mpiio::Runner;
-use s4d_workloads::{AccessPattern, IorConfig};
+use s4d_bench::{paper, Scale};
 
 fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    let mut rows = Vec::new();
-
-    // Analytic worst case, as in the paper: S bytes of cache filled by
-    // 4 KiB extents -> S/4096 records of 24 bytes.
-    for (label, cache_gib) in [("100 GB x4", 400u64), ("1 GB", 1)] {
-        let cache = cache_gib << 30;
-        let entries = cache / 4096;
-        let meta = entries * DMT_RECORD_BYTES;
-        rows.push(vec![
-            format!("analytic {label}"),
-            entries.to_string(),
-            format!("{:.1} MiB", meta as f64 / (1 << 20) as f64),
-            format!("{:.2}%", meta as f64 * 100.0 / cache as f64),
-        ]);
-    }
-
-    // Empirical: a random 4 KiB workload against a small cache.
-    let cfg = IorConfig {
-        file_name: "tab05".into(),
-        file_size: scale.bytes(1 << 30),
-        processes: 16,
-        request_size: 4096,
-        pattern: AccessPattern::Random,
-        do_write: true,
-        do_read: false,
-        seed: 0x7AB,
-    };
-    let capacity = cfg.file_size / 5;
-    let middleware = S4dCache::new(S4dConfig::new(capacity), tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, cfg.scripts(), 0x7AB);
-    runner.run();
-    let (_cluster, mw, _report) = runner.into_parts();
-    let entries = mw.dmt().entry_count() as u64;
-    let table_bytes = entries * DMT_RECORD_BYTES;
-    rows.push(vec![
-        "measured (4 KiB random)".into(),
-        entries.to_string(),
-        format!("{:.2} MiB", table_bytes as f64 / (1 << 20) as f64),
-        format!(
-            "{:.2}%",
-            table_bytes as f64 * 100.0 / mw.dmt().mapped_bytes().max(1) as f64
-        ),
-    ]);
-
-    print!(
-        "{}",
-        table::render(
-            "§V.E.1 — DMT metadata space overhead (24-byte records)",
-            &["case", "records/writes", "metadata", "of cache space"],
-            &rows,
-        )
-    );
-    println!(
-        "paper: worst-case overhead 0.6 %, 'negligible' (scale factor {})",
-        scale.factor()
-    );
+    print!("{}", paper::tab05_metadata(Scale::from_env()));
 }

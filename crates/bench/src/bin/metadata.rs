@@ -34,7 +34,7 @@
 
 use std::time::Instant;
 
-use s4d_bench::testbed;
+use s4d_bench::{field_f64, testbed};
 use s4d_cache::{S4dCache, S4dConfig};
 use s4d_mpiio::{AppRequest, Cluster, Middleware, Rank};
 use s4d_pfs::FileId;
@@ -226,17 +226,6 @@ fn sample_json(s: &Sample) -> String {
         s.appends_per_fsync,
         s.batch_occupancy,
     )
-}
-
-/// Reads the first numeric value following `"key"` inside `text`.
-fn field_f64(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(&format!("\"{key}\""))?;
-    let rest = &text[at..];
-    let tail = rest[rest.find(':')? + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// The regression gate: ratio thresholds on the fresh measurements

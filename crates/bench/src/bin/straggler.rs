@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d_bench::testbed;
+use s4d_bench::{field_f64, testbed};
 use s4d_cache::{S4dCache, S4dConfig};
 use s4d_mpiio::{script, IoObserver, Rank, RunReport, Runner};
 use s4d_pfs::{FaultPlan, ServerFault};
@@ -177,17 +177,6 @@ fn variant_json(v: &Variant) -> String {
         g.stall_abandons,
         v.report.degraded.replans,
     )
-}
-
-/// Reads the first numeric value following `"key"` in `text`.
-fn field_f64(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(&format!("\"{key}\""))?;
-    let rest = &text[at..];
-    let tail = rest[rest.find(':')? + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// Compares the freshly measured variants against the committed

@@ -37,12 +37,9 @@ impl Scale {
         Scale { factor }
     }
 
-    /// Reads `S4D_SCALE_FACTOR` (or legacy `S4D_PAPER_SCALE=1`) from the
-    /// environment; defaults to [`Scale::SCALED`].
+    /// Reads `S4D_SCALE_FACTOR` from the environment; defaults to
+    /// [`Scale::SCALED`].
     pub fn from_env() -> Scale {
-        if std::env::var("S4D_PAPER_SCALE").as_deref() == Ok("1") {
-            return Scale::PAPER;
-        }
         match std::env::var("S4D_SCALE_FACTOR")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -131,11 +128,6 @@ impl Testbed {
     }
 }
 
-/// An S4D middleware for this testbed with the given cache capacity.
-pub fn s4d_middleware(tb: &Testbed, cache_capacity: u64) -> S4dCache {
-    S4dCache::new(S4dConfig::new(cache_capacity), tb.cost_params())
-}
-
 /// The outcome of one measured configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
@@ -174,16 +166,7 @@ pub fn run_stock(
     scripts: Vec<impl ProcessScript + 'static>,
     observers: Vec<Box<dyn IoObserver>>,
 ) -> ExperimentOutcome {
-    let mut runner = Runner::new(
-        tb.cluster(),
-        s4d_mpiio::StockMiddleware::new(),
-        scripts,
-        tb.seed,
-    );
-    for obs in observers {
-        runner.add_observer(obs);
-    }
-    let report = runner.run();
+    let (report, _) = run_custom(tb, s4d_mpiio::StockMiddleware::new(), scripts, observers);
     ExperimentOutcome {
         report,
         metrics: S4dMetrics::default(),
@@ -198,12 +181,7 @@ pub fn run_s4d(
     observers: Vec<Box<dyn IoObserver>>,
 ) -> ExperimentOutcome {
     let middleware = S4dCache::new(config, tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, scripts, tb.seed);
-    for obs in observers {
-        runner.add_observer(obs);
-    }
-    let report = runner.run();
-    let (_cluster, mw, _r) = runner.into_parts();
+    let (report, mw) = run_custom(tb, middleware, scripts, observers);
     ExperimentOutcome {
         report,
         metrics: *mw.metrics(),
@@ -264,10 +242,9 @@ pub fn run_s4d_second_read(
     let middleware = S4dCache::new(config, tb.cost_params());
     let mut runner = Runner::new(tb.cluster(), middleware, first, tb.seed);
     let first_report = runner.run();
-    let end = runner.drain_background(first_report.end_time);
+    runner.drain_background(first_report.end_time);
     let (cluster, middleware, _) = runner.into_parts();
     let mut runner = Runner::new(cluster, middleware, second, tb.seed ^ 1);
-    let _ = end;
     let report = runner.run();
     let (_cluster, mw, _r) = runner.into_parts();
     ExperimentOutcome {
